@@ -35,6 +35,18 @@ def _parse_int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"cannot parse integer list {text!r}")
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer >= minimum."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def _semigroup(args) -> semigroup.NumericalSemigroup:
     return semigroup.NumericalSemigroup.from_generators(args.semigroup)
 
@@ -236,14 +248,19 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["symmetric", "genus-tree"],
         default="symmetric",
     )
-    pv.add_argument("--bound", type=int, default=40)
-    pv.add_argument("--max-genus", type=int, default=8)
+    pv.add_argument("--bound", type=_at_least(1), default=40)
+    pv.add_argument("--max-genus", type=_at_least(0), default=8)
     pv.add_argument("--no-cross-check", action="store_true")
+    # argparse converts a string default only when the option is absent,
+    # so a bad HW_JOBS is a usage error of this subcommand alone
     pv.add_argument(
-        "--jobs", type=int, default=int(os.environ.get("HW_JOBS", "1"))
+        "--jobs",
+        type=_at_least(1),
+        default=os.environ.get("HW_JOBS", "1"),
+        help="worker processes (default: HW_JOBS, else 1)",
     )
     pv.add_argument("--out", default=None)
-    pv.set_defaults(handler=_cmd_corpus, mode_map=True)
+    pv.set_defaults(handler=_cmd_corpus)
     return parser
 
 

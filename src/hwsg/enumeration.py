@@ -16,28 +16,21 @@ from typing import Iterable, Iterator, Optional
 
 from .gluing import glue
 from .hw import Verdict, check_all_two_generated
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, minimal_bits, set_bits
 from .sequences import find_irreducible_two_step
 
 
 def _remove_generator(parent: NumericalSemigroup, g: int) -> NumericalSemigroup:
-    # g is a minimal generator larger than the Frobenius number, so the
-    # child data can be patched instead of recomputed
-    frobenius = g
-    members = set(parent.members) | set(range(parent.frobenius + 1, g))
-    genus = parent.genus + 1
-    mult = min((x for x in members if x > 0), default=frobenius + 1)
-
-    def contains(x: int) -> bool:
-        return x > frobenius if (x < 0 or x > frobenius) else x in members
-
-    gens = set(h for h in parent.minimal_generators if h != g)
-    # new minimal generators live in (g, g + multiplicity]
-    for x in range(1, mult + 1):
-        h = g + x
-        if not any(contains(a) and contains(h - a) for a in range(mult, h - mult + 1)):
-            gens.add(h)
-    return NumericalSemigroup(tuple(sorted(gens)), frobenius, genus, frozenset(members))
+    # g is a minimal generator larger than the Frobenius number: it becomes
+    # the child's Frobenius number, the generators below it stay, and the
+    # others, old or new, lie in (g, g + multiplicity]
+    mask = parent.bits() & ((1 << g) - 1)
+    kept = tuple(h for h in parent.minimal_generators if h < g)
+    mult = kept[0] if kept else g + 1
+    nonzero = (mask | (-1 << (g + 1))) & -2
+    above = minimal_bits(nonzero, kept) >> (g + 1) & ((1 << mult) - 1)
+    gens = kept + tuple(set_bits(above, g + 1))
+    return NumericalSemigroup(gens, g, parent.genus + 1, mask)
 
 
 def genus_tree(max_genus: int) -> Iterator[NumericalSemigroup]:

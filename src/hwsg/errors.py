@@ -71,3 +71,9 @@ class CaseExhausted(DomainError):
     """The constructive witness case machine ran out of cases; a bug, never expected."""
 
     code = "case-exhausted"
+
+
+class TooLarge(DomainError):
+    """A multiplicity, Frobenius number or modulus above semigroup.MAX_WINDOW."""
+
+    code = "too-large"

@@ -55,11 +55,8 @@ class HWReport:
 def _first_difference(left: RelativeIdeal, right: RelativeIdeal) -> Optional[int]:
     """Smallest element of `left` missing from `right`, None if contained."""
     lo = left.min_element
-    hi = max(left.conductor, right.conductor)
-    for x in range(lo, hi + 1):
-        if left.contains(x) and not right.contains(x):
-            return x
-    return None
+    diff = left.bits(lo) & ~right.bits(lo)
+    return lo + (diff & -diff).bit_length() - 1 if diff else None
 
 
 def is_huneke_wiegand(ideal: RelativeIdeal) -> HWReport:

@@ -1,27 +1,31 @@
 """Relative ideals of a numerical semigroup.
 
 A relative ideal is a set A of integers with A + Gamma contained in A that is
-bounded below; it is stored by its unique minimal generating set.  All binary
-operations work on a finite window: below it nothing is a member, above the
-conductor everything is.
+bounded below; it is stored by its unique minimal generating set.  Its
+membership is a window of bits from its least element lo on: nothing below
+lo is a member, and since lo + Gamma lies in A, everything from lo + F + 1
+on is.  The bits are a negative int, whose ones continue forever, so every
+binary operation is a few shifts, ANDs and ORs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AmbientMismatch, EmptyGenerators, ModulusNotInSemigroup
-from .semigroup import AperySet, NumericalSemigroup
+from .semigroup import AperySet, NumericalSemigroup, check_window, minimal_bits, set_bits
 
 
-def _minimalize(gamma: NumericalSemigroup, gens: Iterable[int]) -> tuple[int, ...]:
-    # a generator is redundant iff it differs from a kept smaller one by a member
-    kept: list[int] = []
-    for g in sorted(set(gens)):
-        if not any(gamma.contains(g - h) for h in kept):
-            kept.append(g)
-    return tuple(kept)
+def _generated(gamma: NumericalSemigroup, offsets: Iterable[int]) -> int:
+    """Bits of ({0} + offsets) + Gamma for non-negative offsets; one above F
+    is a member, so it adds nothing to offset 0."""
+    members = bits = gamma.bits()
+    for d in offsets:
+        if d <= gamma.frobenius:
+            bits |= members << d
+    return bits
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,17 @@ class RelativeIdeal:
         gens = list(gens)
         if not gens:
             raise EmptyGenerators("a relative ideal needs at least one generator")
-        return RelativeIdeal(gamma, _minimalize(gamma, gens))
+        lo = min(gens)
+        bits = _generated(gamma, (g - lo for g in gens))
+        return RelativeIdeal._from_bits(gamma, lo, bits)
+
+    @staticmethod
+    def _from_bits(gamma: NumericalSemigroup, lo: int, bits: int) -> "RelativeIdeal":
+        """The ideal whose members from lo on are `bits`."""
+        gens = tuple(set_bits(minimal_bits(bits, gamma.minimal_generators), lo))
+        ideal = RelativeIdeal(gamma, gens)
+        object.__setattr__(ideal, "_window", (gens[0], bits >> (gens[0] - lo)))
+        return ideal
 
     @staticmethod
     def of(gamma: NumericalSemigroup) -> "RelativeIdeal":
@@ -44,6 +58,17 @@ class RelativeIdeal:
         return RelativeIdeal(gamma, (0,))
 
     # -- structure ---------------------------------------------------------
+
+    @cached_property
+    def _window(self) -> tuple[int, int]:
+        """(least element lo, membership bits from lo on)."""
+        lo = self.minimal_generators[0]
+        return lo, _generated(self.ambient, (g - lo for g in self.minimal_generators))
+
+    def bits(self, lo: int) -> int:
+        """Membership from lo on: bit i stands for lo + i."""
+        start, bits = self._window
+        return bits << (start - lo) if start >= lo else bits >> (lo - start)
 
     @property
     def conductor(self) -> int:
@@ -58,7 +83,8 @@ class RelativeIdeal:
         return len(self.minimal_generators) == 1
 
     def contains(self, x: int) -> bool:
-        return any(self.ambient.contains(x - g) for g in self.minimal_generators)
+        lo, bits = self._window
+        return x >= lo and bool(bits >> (x - lo) & 1)
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
@@ -77,11 +103,14 @@ class RelativeIdeal:
     # -- arithmetic --------------------------------------------------------
 
     def add(self, other: "RelativeIdeal") -> "RelativeIdeal":
+        """The union of self + b over the generators b of other."""
         self._check_ambient(other)
-        return RelativeIdeal.from_generators(
-            self.ambient,
-            (a + b for a in self.minimal_generators for b in other.minimal_generators),
-        )
+        lo, bits = self._window
+        base = other.min_element
+        total = 0
+        for b in other.minimal_generators:
+            total |= bits << (b - base)
+        return RelativeIdeal._from_bits(self.ambient, lo + base, total)
 
     def union(self, other: "RelativeIdeal") -> "RelativeIdeal":
         self._check_ambient(other)
@@ -92,34 +121,18 @@ class RelativeIdeal:
     def intersect(self, other: "RelativeIdeal") -> "RelativeIdeal":
         self._check_ambient(other)
         lo = max(self.min_element, other.min_element)
-        # beyond max(conductors) everything is a member, but minimal
-        # generators can still appear up to F further out
-        hi = max(self.conductor, other.conductor) + max(self.ambient.frobenius, 0)
-        gamma = self.ambient
-        gens: list[int] = []
-        for x in range(lo, hi + 1):
-            if (
-                self.contains(x)
-                and other.contains(x)
-                and not any(gamma.contains(x - g) for g in gens)
-            ):
-                gens.append(x)
-        return RelativeIdeal(gamma, tuple(gens))
+        return RelativeIdeal._from_bits(self.ambient, lo, self.bits(lo) & other.bits(lo))
 
     def subtract(self, other: "RelativeIdeal") -> "RelativeIdeal":
-        """The quotient {z | z + other is contained in self}."""
+        """The quotient {z | z + other is contained in self}: the
+        intersection of self - b over the generators b of other."""
         self._check_ambient(other)
-        bgens = other.minimal_generators
-        lo = self.min_element - max(bgens)
-        hi = self.conductor - min(bgens) + max(self.ambient.frobenius, 0)
-        gamma = self.ambient
-        gens: list[int] = []
-        for z in range(lo, hi + 1):
-            if all(self.contains(z + b) for b in bgens) and not any(
-                gamma.contains(z - g) for g in gens
-            ):
-                gens.append(z)
-        return RelativeIdeal(gamma, tuple(gens))
+        lo, bits = self._window
+        base = other.min_element
+        quotient = -1
+        for b in other.minimal_generators:
+            quotient &= bits >> (b - base)
+        return RelativeIdeal._from_bits(self.ambient, lo - base, quotient)
 
     def dual(self) -> "RelativeIdeal":
         return RelativeIdeal.of(self.ambient).subtract(self)
@@ -134,14 +147,9 @@ class RelativeIdeal:
             raise ModulusNotInSemigroup(
                 f"{z} is not a nonzero member of the ambient semigroup"
             )
-        elements = set()
-        lo = self.min_element
-        for r in range(z):
-            x = lo + ((r - lo) % z)
-            while not self.contains(x):
-                x += z
-            elements.add(x)
-        return AperySet(z, frozenset(elements))
+        check_window("Apery modulus", z)
+        lo, bits = self._window
+        return AperySet(z, frozenset(set_bits(bits & ~(bits << z), lo)))
 
     def to_json(self) -> dict:
         return {

@@ -4,13 +4,16 @@ Apery sets and delta sets.
 A numerical semigroup is a cofinite additive submonoid of the non-negative
 integers.  The whole of N is encoded with frobenius = -1 so that degenerate
 cases fall out cleanly downstream.
+
+Membership is a bitmask, bit x for the integer x; a set that contains all
+integers from some point on is a negative int, whose ones never end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     EmptyGenerators,
@@ -18,7 +21,42 @@ from .errors import (
     ModulusNotInSemigroup,
     NonStabilized,
     NotCoprime,
+    TooLarge,
 )
+
+# Largest multiplicity, Frobenius number and Apery modulus accepted: member
+# windows stay within 32 KiB, and building a semigroup within O(multiplicity
+# * generators) steps.  <512, 513> (F = 261631) fits.
+MAX_WINDOW = 1 << 18
+
+
+def check_window(what: str, size: int) -> None:
+    if size > MAX_WINDOW:
+        raise TooLarge(f"{what} {size} exceeds the window limit {MAX_WINDOW}")
+
+
+def minimal_bits(bits: int, gens: Iterable[int]) -> int:
+    """The set bits x of `bits` with x - g unset for every g in `gens`.
+
+    For the bits of a relative ideal and any generating set of its
+    semigroup these are the minimal generators.  Every generator must be
+    small enough to shift by: at most Frobenius number plus multiplicity.
+    """
+    covered = 0
+    for g in gens:
+        covered |= bits << g
+    return bits & ~covered
+
+
+def set_bits(bits: int, offset: int = 0) -> list[int]:
+    """Positions of the set bits of a non-negative int, plus `offset`."""
+    digits = bin(bits)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(offset + i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -37,8 +75,8 @@ class NumericalSemigroup:
     minimal_generators: tuple[int, ...]
     frobenius: int
     genus: int
-    # members in [0, frobenius]; everything above the bound is a member
-    members: frozenset[int] = field(repr=False, compare=False, hash=False)
+    # bit x set iff x in [0, frobenius] is a member; all above is a member
+    mask: int = field(repr=False, compare=False, hash=False)
 
     @staticmethod
     def from_generators(gens: Iterable[int]) -> "NumericalSemigroup":
@@ -51,56 +89,52 @@ class NumericalSemigroup:
             raise NotCoprime(f"gcd({gens}) != 1; not a numerical semigroup")
 
         if gens[0] == 1:
-            return NumericalSemigroup((1,), -1, 0, frozenset())
+            return NumericalSemigroup((1,), -1, 0, 0)
 
-        # shortest member per residue class mod the multiplicity (Bellman-Ford
-        # on the residue graph); from it Frobenius, genus and the member table
         m = gens[0]
-        ap: list[int | None] = [None] * m
-        ap[0] = 0
-        changed = True
-        while changed:
-            changed = False
-            for r in range(m):
-                base = ap[r]
-                if base is None:
+        check_window("multiplicity", m)
+        # shortest member per residue class mod m, the Apery set: shortest
+        # paths on the residue graph, one round-robin pass per generator
+        # (Boecker & Liptak 2007); each cycle of +a starts at its minimum
+        ap: list = [0] + [math.inf] * (m - 1)
+        for a in gens[1:]:
+            d = math.gcd(m, a)
+            for p in range(d):
+                n = min(ap[p::d])
+                if n == math.inf:
                     continue
-                for g in gens:
-                    cand = base + g
-                    nr = cand % m
-                    if ap[nr] is None or cand < ap[nr]:
-                        ap[nr] = cand
-                        changed = True
-        apery = [int(x) for x in ap]  # type: ignore[arg-type]
-        frobenius = max(apery) - m
-        genus = sum((apery[r] - r) // m for r in range(1, m))
-        members = frozenset(
-            x for x in range(frobenius + 1) if apery[x % m] <= x
-        )
-
-        def _contains(x: int) -> bool:
-            return x > frobenius if (x < 0 or x > frobenius) else x in members
-
-        minimal = tuple(
-            g
-            for g in gens
-            if not any(
-                _contains(a) and _contains(g - a) for a in range(m, g - m + 1)
-            )
-        )
-        return NumericalSemigroup(minimal, frobenius, genus, members)
+                for _ in range(m // d - 1):
+                    n += a
+                    r = n % m
+                    if ap[r] < n:
+                        n = ap[r]
+                    else:
+                        ap[r] = n
+        frobenius = max(ap) - m
+        check_window("Frobenius number", frobenius)
+        genus = sum((w - r) // m for r, w in enumerate(ap))
+        # one comb of bits m apart per residue class, from its Apery element
+        comb = int("1".rjust(m, "0") * (frobenius // m + 1), 2)
+        mask = 0
+        for w in ap:
+            mask |= comb << w
+        mask &= (1 << (frobenius + 1)) - 1
+        # generators above F + m are sums of m and a member
+        nonzero = (mask | (-1 << (frobenius + 1))) & -2
+        minimal = minimal_bits(nonzero, [g for g in gens if g <= frobenius + m])
+        return NumericalSemigroup(tuple(set_bits(minimal)), frobenius, genus, mask)
 
     # -- basic queries -----------------------------------------------------
 
     def contains(self, x: int) -> bool:
-        if x < 0:
-            return False
-        if x > self.frobenius:
-            return True
-        return x in self.members
+        return x > self.frobenius or (x >= 0 and bool(self.mask >> x & 1))
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
+
+    def bits(self) -> int:
+        """All members as bits (bit x for x), ones forever above F."""
+        return self.mask | (-1 << (self.frobenius + 1))
 
     @property
     def multiplicity(self) -> int:
@@ -114,30 +148,22 @@ class NumericalSemigroup:
         return self.frobenius == -1
 
     def gaps(self) -> tuple[int, ...]:
-        return tuple(
-            x for x in range(self.frobenius + 1) if x not in self.members
-        )
+        return tuple(set_bits(~self.mask & ((1 << (self.frobenius + 1)) - 1)))
 
     def members_up_to(self, hi: int) -> list[int]:
         """All members in [0, hi]."""
         return [x for x in range(hi + 1) if self.contains(x)]
 
-    def iter_members(self) -> Iterator[int]:
-        x = 0
-        while True:
-            if self.contains(x):
-                yield x
-            x += 1
-
     def is_symmetric(self) -> bool:
         """Genus criterion, double-checked against the complement criterion."""
         if self.is_nat():
             return True
-        by_genus = 2 * self.genus == self.frobenius + 1
-        by_complement = all(
-            self.contains(x) != self.contains(self.frobenius - x)
-            for x in range(self.frobenius + 1)
-        )
+        width = self.frobenius + 1
+        by_genus = 2 * self.genus == width
+        # x is a member iff F - x is not: the mask and its mirror image
+        # are complements on [0, F]
+        mirrored = int(format(self.mask, f"0{width}b")[::-1], 2)
+        by_complement = self.mask ^ mirrored == (1 << width) - 1
         if by_genus != by_complement:
             raise InternalInconsistency(
                 f"symmetry criteria disagree on {self.minimal_generators}"
@@ -149,13 +175,9 @@ class NumericalSemigroup:
             raise ModulusNotInSemigroup(
                 f"{z} is not a nonzero member of the semigroup"
             )
-        elements = set()
-        for r in range(z):
-            x = r
-            while not self.contains(x):
-                x += z
-            elements.add(x)
-        return AperySet(z, frozenset(elements))
+        check_window("Apery modulus", z)
+        members = self.bits()
+        return AperySet(z, frozenset(set_bits(members & ~(members << z))))
 
     def to_json(self) -> dict:
         return {

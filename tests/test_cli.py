@@ -59,6 +59,15 @@ class TestInfo:
             run(["info"])
         assert exc.value.code == 2
 
+    def test_too_large(self, capsys):
+        code, _, err = invoke(capsys, "info", "--semigroup", "2,524289")
+        assert code == 1
+        assert json.loads(err)["error"] == "too-large"
+
+    def test_bad_jobs_variable_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("HW_JOBS", "abc")
+        assert invoke_json(capsys, "info", "--semigroup", "3,5")["frobenius"] == 7
+
 
 class TestApery:
     def test_semigroup(self, capsys):
@@ -207,3 +216,25 @@ class TestCorpus:
         )
         assert data["semigroups"] == 15
         assert data["all_hw"] is True
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["--jobs", "-1"], None),
+            (["--jobs", "0"], None),
+            ([], "abc"),
+            ([], "-2"),
+            (["--bound", "-3"], None),
+            (["--bound", "0"], None),
+            (["--mode", "genus-tree", "--max-genus", "-1"], None),
+        ],
+    )
+    def test_usage_errors(self, capsys, monkeypatch, argv, env):
+        if env is None:
+            monkeypatch.delenv("HW_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("HW_JOBS", env)
+        with pytest.raises(SystemExit) as exc:
+            run(["corpus", "verify", *argv])
+        assert exc.value.code == 2
+        assert "usage: hwsg corpus verify" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from hwsg import NumericalSemigroup, delta_set, stable_delta_intersection
-from hwsg.errors import EmptyGenerators, ModulusNotInSemigroup, NotCoprime
+from hwsg.errors import EmptyGenerators, ModulusNotInSemigroup, NotCoprime, TooLarge
+from hwsg.semigroup import MAX_WINDOW
 
 from conftest import oracle_frobenius, oracle_gaps, random_semigroup
 
@@ -37,6 +40,22 @@ class TestConstruction:
             NumericalSemigroup.from_generators([])
         with pytest.raises(EmptyGenerators):
             NumericalSemigroup.from_generators([0, 3])
+
+    @pytest.mark.parametrize(
+        "gens",
+        # the multiplicity is over the limit; the Frobenius number is, with a
+        # multiplicity of 2.  Unguarded, either builds at most a 64 KiB mask.
+        [[MAX_WINDOW + 1, MAX_WINDOW + 2], [2, 2 * MAX_WINDOW + 1]],
+    )
+    def test_too_large_fails_before_allocating(self, gens):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                NumericalSemigroup.from_generators(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
     @pytest.mark.parametrize(
         "gens",
@@ -103,6 +122,10 @@ class TestApery:
             g.apery(4)
         with pytest.raises(ModulusNotInSemigroup):
             g.apery(0)
+
+    def test_modulus_too_large(self):
+        with pytest.raises(TooLarge):
+            NumericalSemigroup.from_generators([3, 5]).apery(MAX_WINDOW + 1)
 
     def test_structure_invariants(self, rng):
         # |Ap| = z, 0 in Ap, max(Ap) = F + z, one element per residue
