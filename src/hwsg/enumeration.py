@@ -7,6 +7,7 @@ verify_hw_corpus runs the two-generated Huneke-Wiegand scan over them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -149,12 +150,10 @@ class VerificationReport:
         }
 
 
-def _scan_one(args: tuple[tuple[int, ...], bool]) -> dict:
-    gens, cross_check = args
-    gamma = NumericalSemigroup.from_generators(gens)
+def _scan_one(gamma: NumericalSemigroup, cross_check: bool) -> dict:
     scan = check_all_two_generated(gamma)
     record: dict = {
-        "generators": list(gens),
+        "generators": list(gamma.minimal_generators),
         "frobenius": gamma.frobenius,
         "genus": gamma.genus,
         "gaps_checked": len(scan.reports),
@@ -186,12 +185,12 @@ def verify_hw_corpus(spec: CorpusSpec) -> VerificationReport:
     """Scan every semigroup of the corpus; parallel runs merge in corpus
     order so reports are deterministic."""
     started = time.monotonic()
-    work = [(g.minimal_generators, spec.cross_check) for g in spec.corpus()]
+    scan = functools.partial(_scan_one, cross_check=spec.cross_check)
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            records = list(pool.map(_scan_one, work, chunksize=16))
+            records = list(pool.map(scan, spec.corpus(), chunksize=16))
     else:
-        records = [_scan_one(w) for w in work]
+        records = list(map(scan, spec.corpus()))
 
     report = VerificationReport(spec)
     report.records = records

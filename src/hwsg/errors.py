@@ -51,10 +51,6 @@ class NotSymmetric(DomainError):
     code = "not-symmetric"
 
 
-class BoundInsufficient(DomainError):
-    code = "bound-insufficient"
-
-
 class HypothesisViolated(DomainError):
     code = "hypothesis-violated"
 

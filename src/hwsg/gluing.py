@@ -100,7 +100,10 @@ def verify_gluing_identities(
     ext = functools.partial(extend_ideal, gluing)
     eac, ebc = ext(a, c), ext(b, c)
 
-    window_hi = eac.conductor + a1 * max(abs(gluing.gamma1.frobenius), 1) + a1 * a2
+    # windows reach past max generator + F + 1, a bound on the conductor
+    eac_top = max(eac.minimal_generators) + eac.ambient.frobenius + 1
+    c_top = max(c.minimal_generators) + c.ambient.frobenius + 1
+    window_hi = eac_top + a1 * max(abs(gluing.gamma1.frobenius), 1) + a1 * a2
     window_lo = eac.min_element
     window = range(window_lo, window_hi + 1)
 
@@ -125,7 +128,7 @@ def verify_gluing_identities(
 
     # (5) slicing by a1*Z picks out the least a1-multiple of C
     min_mult = next(
-        v for v in c.members_in(c.min_element, c.conductor + a1) if v % a1 == 0
+        v for v in c.members_in(c.min_element, c_top + a1) if v % a1 == 0
     )
     lhs5 = [x for x in window if x % a1 == 0 and eac.contains(x)]
     rhs5 = [
@@ -208,9 +211,7 @@ def detect_free(gamma: NumericalSemigroup) -> Optional[DecompositionTree]:
     gens = gamma.minimal_generators
     for m in gens:
         rest = tuple(g for g in gens if g != m)
-        if not rest:
-            continue
-        a1 = math.gcd(*rest) if len(rest) > 1 else rest[0]
+        a1 = math.gcd(*rest)
         if a1 <= 1 or math.gcd(a1, m) != 1:
             continue
         gamma1 = NumericalSemigroup.from_generators([g // a1 for g in rest])
@@ -226,8 +227,6 @@ def detect_free(gamma: NumericalSemigroup) -> Optional[DecompositionTree]:
 def _ci_tree(gens: tuple[int, ...]) -> Optional[DecompositionTree]:
     if gens == (1,):
         return DecompositionTree(COMPLETE_INTERSECTION)
-    if len(gens) == 1:
-        return None
     # bipartitions of the minimal generators; the first generator is pinned
     # to the left block to halve the search
     rest = gens[1:]
@@ -235,8 +234,8 @@ def _ci_tree(gens: tuple[int, ...]) -> Optional[DecompositionTree]:
     for mask in range(2**n - 1):
         left_gens = [gens[0]] + [rest[i] for i in range(n) if mask >> i & 1]
         right_gens = [rest[i] for i in range(n) if not mask >> i & 1]
-        d1 = math.gcd(*left_gens) if len(left_gens) > 1 else left_gens[0]
-        d2 = math.gcd(*right_gens) if len(right_gens) > 1 else right_gens[0]
+        d1 = math.gcd(*left_gens)
+        d2 = math.gcd(*right_gens)
         if math.gcd(d1, d2) != 1:
             continue
         gamma1 = NumericalSemigroup.from_generators([g // d1 for g in left_gens])

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import HypothesisViolated, InternalInconsistency, NotAGap
+from . import ideals
 from .ideals import RelativeIdeal
 from .semigroup import NumericalSemigroup, delta_set
 
@@ -149,11 +150,9 @@ def check_all_ideals(
     gamma: NumericalSemigroup, max_extra_gens: int | None = None
 ) -> IdealScan:
     """Run the partition check over every ideal up to translation."""
-    from .ideals import enumerate_ideals_up_to_shift
-
     total = principal = hw = 0
     bad: list[HWReport] = []
-    for ideal in enumerate_ideals_up_to_shift(gamma, max_extra_gens):
+    for ideal in ideals.enumerate_ideals_up_to_shift(gamma, max_extra_gens):
         report = is_huneke_wiegand(ideal)
         total += 1
         if report.verdict is Verdict.PRINCIPAL:

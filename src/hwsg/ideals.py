@@ -72,8 +72,9 @@ class RelativeIdeal:
 
     @property
     def conductor(self) -> int:
-        """Every integer >= conductor is a member."""
-        return max(self.minimal_generators) + self.ambient.frobenius + 1
+        """The least c with every integer >= c a member."""
+        lo, bits = self._window
+        return lo + (~bits).bit_length()
 
     @property
     def min_element(self) -> int:

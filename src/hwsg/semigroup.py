@@ -140,19 +140,11 @@ class NumericalSemigroup:
     def multiplicity(self) -> int:
         return self.minimal_generators[0]
 
-    @property
-    def embedding_dimension(self) -> int:
-        return len(self.minimal_generators)
-
     def is_nat(self) -> bool:
         return self.frobenius == -1
 
     def gaps(self) -> tuple[int, ...]:
         return tuple(set_bits(~self.mask & ((1 << (self.frobenius + 1)) - 1)))
-
-    def members_up_to(self, hi: int) -> list[int]:
-        """All members in [0, hi]."""
-        return [x for x in range(hi + 1) if self.contains(x)]
 
     def is_symmetric(self) -> bool:
         """Genus criterion, double-checked against the complement criterion."""

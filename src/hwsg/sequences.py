@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    BoundInsufficient,
     InternalInconsistency,
     NotInSemigroup,
     NotSymmetric,
@@ -114,15 +113,16 @@ def find_irreducible_two_step(
     bound: int | None = None,
     stats: dict | None = None,
 ) -> Optional[ArithmeticSequence]:
-    """Ascending search for an irreducible (x; s; 2).
+    """Ascending search for the irreducible (x; s; 2) of least start.
 
-    With the default bound a miss is cross-checked against the exact ideal
-    criterion; if the ideal (0, s) is Huneke-Wiegand the bound was too small
-    and BoundInsufficient is raised, so a None result is trustworthy.
+    A miss under the default bound is exact: for x >= 2F + 2 the splitting
+    x = (F + 1) + (x - F - 1) has both parts and both parts plus s above F,
+    hence in Gamma, so every irreducible start is at most 2F + 1, and the
+    default bound 2F + 2s + max(gens) exceeds that.  The search never
+    consults the ideal criterion; it stays an independent oracle for it.
     """
     if gamma.contains(s):
         raise StepInSemigroup(f"step {s} must be a gap")
-    defaulted = bound is None
     if bound is None:
         bound = 2 * gamma.frobenius + 2 * s + max(gamma.minimal_generators)
     candidates = 0
@@ -137,12 +137,4 @@ def find_irreducible_two_step(
             return seq
     if stats is not None:
         stats["candidates_checked"] = candidates
-    if defaulted:
-        from .hw import Verdict, check_two_generated
-
-        if check_two_generated(gamma, s).verdict is Verdict.HW:
-            raise BoundInsufficient(
-                f"no irreducible (x;{s};2) below {bound} although (0,{s}) is "
-                "Huneke-Wiegand"
-            )
     return None

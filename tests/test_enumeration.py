@@ -10,6 +10,8 @@ from hwsg import (
     symmetric_below,
     verify_hw_corpus,
 )
+from hwsg import enumeration
+from hwsg.cli import run
 
 from conftest import oracle_genus_census, oracle_symmetric_gapsets
 
@@ -110,13 +112,28 @@ class TestVerifyCorpus:
         assert report.all_hw
 
     def test_parallel_matches_serial(self):
-        serial = verify_hw_corpus(
-            CorpusSpec(mode="symmetric-below", bound=12, jobs=1)
-        )
-        parallel = verify_hw_corpus(
-            CorpusSpec(mode="symmetric-below", bound=12, jobs=2)
-        )
-        assert serial.records == parallel.records
+        for spec in (
+            dict(mode="symmetric-below", bound=12),
+            dict(mode="genus-tree", max_genus=5),
+        ):
+            serial = verify_hw_corpus(CorpusSpec(**spec, jobs=1))
+            parallel = verify_hw_corpus(CorpusSpec(**spec, jobs=2))
+            assert serial.records == parallel.records
+
+    def test_oracle_disagreement_reported(self, monkeypatch, capsys):
+        # a sequence search that always misses disagrees with every hw
+        # verdict; the corpus reports that instead of raising
+        monkeypatch.setattr(enumeration, "find_irreducible_two_step", lambda g, s: None)
+        report = verify_hw_corpus(CorpusSpec(mode="symmetric-below", bound=12))
+        assert not report.all_hw
+        assert report.ideals_checked > 0
+        kinds = [c["kind"] for c in report.counterexamples]
+        assert kinds == ["oracle-disagreement"] * report.ideals_checked
+        assert {c["verdict"] for c in report.counterexamples} == {"hw"}
+
+        monkeypatch.delenv("HW_JOBS", raising=False)
+        assert run(["corpus", "verify", "--bound", "12"]) == 0
+        assert '"all_hw": false' in capsys.readouterr().out
 
     def test_json_lines_output(self, tmp_path):
         out = tmp_path / "report.jsonl"

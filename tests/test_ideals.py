@@ -6,6 +6,12 @@ from hwsg.errors import AmbientMismatch, EmptyGenerators
 from conftest import oracle_ideal_members, random_ideal, random_semigroup
 
 
+def window_top(ideal):
+    """max generator + F + 1, a bound on the conductor: every integer from
+    here on is a member."""
+    return max(ideal.minimal_generators) + ideal.ambient.frobenius + 1
+
+
 @pytest.fixture
 def g35():
     return NumericalSemigroup.from_generators([3, 5])
@@ -138,7 +144,7 @@ class TestQuotientRelations:
             g = random_semigroup(rng)
             a = random_ideal(rng, g)
             dd = a.dual().dual()
-            hi = max(a.conductor, dd.conductor)
+            hi = max(window_top(a), window_top(dd))
             assert all(dd.contains(x) for x in a.members_in(a.min_element, hi))
 
     def test_double_dual_equal_on_symmetric(self, rng):
@@ -151,6 +157,23 @@ class TestQuotientRelations:
                 assert a.dual().dual().equals(a)
 
 
+class TestConductor:
+    def test_examples(self, g35):
+        assert RelativeIdeal.from_generators(g35, [0, 1]).conductor == 3
+        assert RelativeIdeal.of(g35).conductor == 8
+        assert RelativeIdeal.from_generators(g35, [-2]).conductor == 6
+
+    def test_least_against_raw_members(self, rng):
+        for _ in range(200):
+            g = random_semigroup(rng)
+            a = random_ideal(rng, g)
+            hi = window_top(a)
+            members = oracle_ideal_members(g, list(a.minimal_generators), hi)
+            c = a.conductor
+            assert c - 1 not in members
+            assert all(x in members for x in range(c, hi + 1))
+
+
 class TestMembershipConsistency:
     def test_add_matches_raw_sumset(self, rng):
         for _ in range(30):
@@ -158,7 +181,7 @@ class TestMembershipConsistency:
             a, b = random_ideal(rng, g), random_ideal(rng, g)
             res = a + b
             lo = res.min_element
-            hi = max(res.conductor + g.frobenius + 1, lo + 10)
+            hi = max(window_top(res) + g.frobenius + 1, lo + 10)
             amem = oracle_ideal_members(g, list(a.minimal_generators), hi)
             bmem = oracle_ideal_members(g, list(b.minimal_generators), hi)
             sums = {x + y for x in amem for y in bmem if x + y <= hi}
@@ -170,7 +193,7 @@ class TestMembershipConsistency:
             g = random_semigroup(rng)
             a, b = random_ideal(rng, g), random_ideal(rng, g)
             res = a & b
-            hi = res.conductor + g.frobenius + 1
+            hi = window_top(res) + g.frobenius + 1
             for x in range(res.min_element - 2, hi + 1):
                 assert res.contains(x) == (a.contains(x) and b.contains(x))
 
@@ -179,11 +202,11 @@ class TestMembershipConsistency:
             g = random_semigroup(rng)
             a, b = random_ideal(rng, g), random_ideal(rng, g)
             res = a - b
-            hi = res.conductor + g.frobenius + 1
+            hi = window_top(res) + g.frobenius + 1
             bmem = b.members_in(b.min_element, hi + abs(res.min_element) + 5)
             for z in range(res.min_element - 2, hi + 1):
                 expected = all(
-                    a.contains(z + y) for y in bmem if z + y <= a.conductor + 1
+                    a.contains(z + y) for y in bmem if z + y <= window_top(a) + 1
                 )
                 assert res.contains(z) == expected
 

@@ -103,8 +103,9 @@ class TestSymmetry:
         # for any semigroup: x in gamma implies F - x is a gap
         for _ in range(20):
             g = random_semigroup(rng)
-            for x in g.members_up_to(g.frobenius + 5):
-                assert not g.contains(g.frobenius - x)
+            for x in range(g.frobenius + 6):
+                if g.contains(x):
+                    assert not g.contains(g.frobenius - x)
 
 
 class TestApery:
@@ -131,8 +132,8 @@ class TestApery:
         # |Ap| = z, 0 in Ap, max(Ap) = F + z, one element per residue
         for _ in range(20):
             g = random_semigroup(rng)
-            for z in g.members_up_to(g.frobenius + 6):
-                if z == 0:
+            for z in range(1, g.frobenius + 7):
+                if not g.contains(z):
                     continue
                 ap = g.apery(z)
                 assert len(ap.elements) == z

@@ -7,6 +7,7 @@ from hwsg import (
     check_two_generated,
     factorizations_two_step,
     find_irreducible_two_step,
+    genus_tree,
     in_sequence_semigroup,
     is_irreducible,
     shift_apery_witness,
@@ -143,6 +144,17 @@ class TestSearch:
     def test_tiny_explicit_bound_returns_none(self, g6):
         # an explicit bound disables the cross-check and may miss
         assert find_irreducible_two_step(g6, 9, bound=5) is None
+
+    def test_default_bound_is_exact(self):
+        # every x >= 2F + 2 splits as (F + 1) + (x - F - 1), so searching up
+        # to 2F + 1 finds what the default bound finds
+        for g in genus_tree(9):
+            tight = 2 * g.frobenius + 1
+            for s in g.gaps():
+                seq = find_irreducible_two_step(g, s)
+                assert seq == find_irreducible_two_step(g, s, bound=tight)
+                if seq is not None:
+                    assert seq.start <= tight
 
     def test_matches_ideal_criterion(self, rng):
         # the sequence search and the exact ideal test must agree on every
